@@ -373,6 +373,14 @@ void ClientService::handle_connect(std::uint64_t conn_id,
             finish_connect(conn_id, r.session_id, /*reattached=*/true);
             return;
           }
+          if (r.status.code() != Code::kSessionExpired) {
+            // Transient (leader lost mid-attach, no leader yet): keep the
+            // session and its ephemerals; the client rotates and retries.
+            ConnectResponse resp;
+            resp.code = Code::kNotReady;
+            push_frame(conn_id, encode_connect_response(resp));
+            return;
+          }
           // Expired or unknown: fall back to minting a fresh session.
           tree_->create_session(req.timeout_ms, [this,
                                                 conn_id](const OpResult& c) {

@@ -27,13 +27,15 @@ ReplicatedTree::ReplicatedTree(ZabNode& node)
     // change (a new leadership rebuilds it from fresh requests). The expiry
     // tracker is rebuilt lazily on the first leader tick, granting every
     // session a full fresh lease (clients get one whole timeout to find the
-    // new primary).
+    // new primary). Requests in flight die with the broadcast phase.
     if (r != Role::kLeading) outstanding_.clear();
     tracker_valid_ = false;
     pending_sessions_.clear();
     closing_sessions_.clear();
+    if (node_->phase() != Phase::kBroadcast) abandon_pending();
   });
   auto& m = node_->metrics();
+  c_requests_abandoned_ = &m.counter("zab.requests.abandoned");
   c_sessions_created_ = &m.counter("zab.sessions.created");
   c_sessions_expired_ = &m.counter("zab.sessions.expired");
   c_sessions_reattached_ = &m.counter("zab.sessions.reattached");
@@ -140,36 +142,49 @@ void ReplicatedTree::submit_multi(std::vector<Op> ops, ResultFn cb,
   const std::uint64_t req_id = next_req_id_++;
   OpRequest req{node_->id(), req_id, session, cxid, std::move(ops)};
   req.ingress_ns = ingress_ns;
-  if (cb) pending_[req_id] = Pending{std::move(cb), node_->env().now()};
+  if (cb) pending_[req_id] = std::move(cb);
 
   if (node_->is_active_leader()) {
     handle_request(encode_op_request(req));
     return;
   }
   const Status st = node_->submit(encode_op_request(req));
-  if (!st.is_ok()) {
-    auto it = pending_.find(req_id);
-    if (it != pending_.end()) {
-      OpResult res;
-      res.status = st;
-      it->second.cb(res);
-      pending_.erase(it);
-      ++stats_.writes_failed;
-    }
+  if (!st.is_ok()) fail_pending(req_id, st);
+}
+
+ReplicatedTree::ResultFn ReplicatedTree::take_pending(std::uint64_t req_id) {
+  // Unlinked before the caller invokes it: a callback may re-enter submit
+  // and grow pending_.
+  auto it = pending_.find(req_id);
+  if (it == pending_.end()) return nullptr;
+  ResultFn cb = std::move(it->second);
+  pending_.erase(it);
+  return cb;
+}
+
+void ReplicatedTree::fail_pending(std::uint64_t req_id, const Status& st) {
+  if (ResultFn cb = take_pending(req_id)) {
+    OpResult res;
+    res.status = st;
+    cb(res);
+    ++stats_.writes_failed;
   }
 }
 
-void ReplicatedTree::expire_pending_before(TimePoint cutoff) {
-  for (auto it = pending_.begin(); it != pending_.end();) {
-    if (it->second.submitted < cutoff) {
-      OpResult res;
-      res.status = Status::timeout("request expired");
-      it->second.cb(res);
-      it = pending_.erase(it);
-      ++stats_.writes_failed;
-    } else {
-      ++it;
-    }
+void ReplicatedTree::abandon_pending() {
+  // Every in-flight request belongs to the epoch we just left: no commit for
+  // it can reach us in that epoch any more, and the next epoch's sync
+  // decides whether it survives. Answer "outcome unknown" now so the client
+  // replays under the same xid (the (session, cxid) record dedups a replay
+  // of a txn that did survive). Swap first: a callback may re-enter submit.
+  std::unordered_map<std::uint64_t, ResultFn> lost;
+  lost.swap(pending_);
+  for (auto& [req_id, cb] : lost) {
+    OpResult res;
+    res.status = Status::timeout("leader lost; outcome unknown");
+    cb(res);
+    ++stats_.writes_failed;
+    c_requests_abandoned_->add();
   }
 }
 
@@ -255,14 +270,7 @@ void ReplicatedTree::handle_request(Bytes payload) {
     // Back-pressure or leadership lost mid-call: the origin's retry loop
     // handles it. Complete locally if the request was ours.
     if (r.origin == node_->id()) {
-      auto it = pending_.find(r.req_id);
-      if (it != pending_.end()) {
-        OpResult fail;
-        fail.status = res.status();
-        it->second.cb(fail);
-        pending_.erase(it);
-        ++stats_.writes_failed;
-      }
+      fail_pending(r.req_id, res.status());
     }
     return;
   }
@@ -296,14 +304,7 @@ void ReplicatedTree::handle_reconfig(const OpRequest& r) {
     err.error = code;
     const auto res = node_->broadcast(encode_tree_txn(err));
     if (!res.is_ok() && r.origin == node_->id()) {
-      auto it = pending_.find(r.req_id);
-      if (it != pending_.end()) {
-        OpResult fail;
-        fail.status = res.status();
-        it->second.cb(fail);
-        pending_.erase(it);
-        ++stats_.writes_failed;
-      }
+      fail_pending(r.req_id, res.status());
     }
   };
 
@@ -360,14 +361,7 @@ void ReplicatedTree::handle_reconfig(const OpRequest& r) {
   if (!res.is_ok() && r.origin == node_->id()) {
     // Leadership lost mid-call or another reconfig in flight: a remote
     // origin's client retries via its own timeout, ours completes now.
-    auto it = pending_.find(r.req_id);
-    if (it != pending_.end()) {
-      OpResult fail;
-      fail.status = res.status();
-      it->second.cb(fail);
-      pending_.erase(it);
-      ++stats_.writes_failed;
-    }
+    fail_pending(r.req_id, res.status());
   }
 }
 
@@ -634,13 +628,11 @@ void ReplicatedTree::on_deliver(const Txn& txn) {
   // here is answering the origin's client.
   if (auto rc = try_decode_reconfig_txn(txn.data)) {
     if (rc->origin == node_->id() && rc->req_id != 0) {
-      auto it = pending_.find(rc->req_id);
-      if (it != pending_.end()) {
+      if (ResultFn cb = take_pending(rc->req_id)) {
         OpResult res;
         res.status = Status::ok();
         res.zxid = txn.zxid;
-        it->second.cb(res);
-        pending_.erase(it);
+        cb(res);
         ++stats_.writes_completed;
       }
     }
@@ -716,8 +708,8 @@ void ReplicatedTree::note_session_txn(const TreeTxn& t, Zxid zxid) {
 
 void ReplicatedTree::complete(const TreeTxn& t, Zxid zxid,
                               const Status& status) {
-  auto it = pending_.find(t.req_id);
-  if (it == pending_.end()) return;
+  ResultFn cb = take_pending(t.req_id);
+  if (!cb) return;
   OpResult res;
   res.zxid = zxid;
   res.status = status;
@@ -740,8 +732,7 @@ void ReplicatedTree::complete(const TreeTxn& t, Zxid zxid,
       res.session_id = t.owner;
     }
   }
-  it->second.cb(res);
-  pending_.erase(it);
+  cb(res);
   if (status.is_ok()) {
     ++stats_.writes_completed;
   } else {

@@ -123,10 +123,9 @@ class ReplicatedTree {
   [[nodiscard]] DataTree& tree() { return tree_; }
   [[nodiscard]] const TreeStats& stats() const { return stats_; }
   [[nodiscard]] ZabNode& node() { return *node_; }
-
-  /// Fail every pending request older than `cutoff` with kTimeout (drive
-  /// from the client's retry loop; uncommitted ops die with their epoch).
-  void expire_pending_before(TimePoint cutoff);
+  /// Requests submitted here whose callback has not fired yet. Drops to 0
+  /// whenever the node leaves the broadcast phase (see abandon_pending).
+  [[nodiscard]] std::size_t pending_requests() const { return pending_.size(); }
 
  private:
   /// Speculative view of a path on the primary: applied state + effects of
@@ -161,6 +160,12 @@ class ReplicatedTree {
   void record_outstanding_for(const TreeTxn& sub, const Overlay& overlay);
   void release_outstanding_for(const TreeTxn& sub);
   void complete(const TreeTxn& t, Zxid zxid, const Status& status);
+  /// Unlink and return a request's callback (null if not ours / done).
+  [[nodiscard]] ResultFn take_pending(std::uint64_t req_id);
+  void fail_pending(std::uint64_t req_id, const Status& st);
+  /// On leaving the broadcast phase: complete every in-flight request with
+  /// kTimeout ("outcome unknown"); the client replays under the same xid.
+  void abandon_pending();
 
   // --- Session internals ----------------------------------------------------
   /// Heartbeat-cadence hook, active leader only: lazily (re)builds the
@@ -181,11 +186,7 @@ class ReplicatedTree {
   DataTree tree_;
   TreeStats stats_;
   std::map<std::string, ChangeRecord> outstanding_;
-  struct Pending {
-    ResultFn cb;
-    TimePoint submitted;
-  };
-  std::unordered_map<std::uint64_t, Pending> pending_;  // req_id -> cb
+  std::unordered_map<std::uint64_t, ResultFn> pending_;  // req_id -> cb
   std::uint64_t next_req_id_ = 1;
 
   // --- Session state --------------------------------------------------------
@@ -197,6 +198,7 @@ class ReplicatedTree {
   /// this is what makes the expiry-vs-reattach race deterministic.
   std::set<std::uint64_t> closing_sessions_;
   std::uint32_t session_counter_ = 0;  // low half of allocated ids
+  AtomicCounter* c_requests_abandoned_ = nullptr;
   AtomicCounter* c_sessions_created_ = nullptr;
   AtomicCounter* c_sessions_expired_ = nullptr;
   AtomicCounter* c_sessions_reattached_ = nullptr;

@@ -4,9 +4,13 @@
 // watch re-registration, and idempotent replay.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <map>
 #include <memory>
 #include <set>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "harness/runtime_cluster.h"
@@ -349,6 +353,191 @@ TEST(SimSessions, IdsUniqueAcrossLeadersAndTableSurvivesFailover) {
   EXPECT_FALSE(f.trees[l2]->exists("/e1"));
 }
 
+// --- Leader loss completes in-flight requests (PROTOCOL.md §11) -------------
+
+// Where a follower-forwarded set_data is when its leader dies.
+enum class LossPoint { kForwardedNotProposed, kDurableNotCommitted };
+
+void run_leader_loss(LossPoint at) {
+  harness::ClusterConfig cfg;
+  cfg.n = 3;
+  // The PROPOSE leaves with the leader's own append (no batch timer), so the
+  // leader can be cut off between the two.
+  cfg.node.batch_max_txns = 1;
+  std::map<NodeId, std::unique_ptr<ReplicatedTree>> trees;
+  cfg.boot_hook = [&trees](NodeId id, ZabNode& node) {
+    trees[id] = std::make_unique<ReplicatedTree>(node);
+  };
+  harness::SimCluster c(cfg);
+  const NodeId leader = c.wait_for_leader();
+  ASSERT_NE(leader, kNoNode);
+  const NodeId origin = leader == 1 ? 2 : 1;
+  const NodeId other = 6 - leader - origin;
+  const ZabConfig& zc = c.node(origin).config();
+
+  // Retry through kNotReady until the node is back in broadcast.
+  auto run_op = [&](NodeId at_node, auto&& issue) {
+    OpResult out;
+    out.status = Status::not_ready("not issued");
+    const TimePoint dl = c.sim().now() + seconds(10);
+    while (out.status.code() == Code::kNotReady && c.sim().now() < dl) {
+      bool done = false;
+      issue(*trees[at_node], [&](const OpResult& r) {
+        out = r;
+        done = true;
+      });
+      while (!done && c.sim().now() < dl) c.run_for(millis(1));
+      if (out.status.code() == Code::kNotReady) c.run_for(millis(10));
+    }
+    return out;
+  };
+  auto set_k = [](std::uint64_t sid, std::uint64_t cxid) {
+    return [sid, cxid](ReplicatedTree& t, ReplicatedTree::ResultFn cb) {
+      Op op;
+      op.type = OpType::kSetData;
+      op.path = "/k";
+      op.data = to_bytes("v1");
+      t.submit(std::move(op), std::move(cb), sid, cxid);
+    };
+  };
+
+  const OpResult s = run_op(leader, [](ReplicatedTree& t, auto cb) {
+    t.create_session(10000, std::move(cb));
+  });
+  ASSERT_TRUE(s.status.is_ok()) << s.status.to_string();
+  const std::uint64_t sid = s.session_id;
+  const OpResult k = run_op(leader, [](ReplicatedTree& t, auto cb) {
+    t.create("/k", to_bytes("v0"), std::move(cb));
+  });
+  ASSERT_TRUE(k.status.is_ok());
+  ASSERT_TRUE(c.wait_delivered(k.zxid));
+
+  std::map<NodeId, std::vector<Zxid>> sets;  // deliveries of the set per node
+  const auto hook = c.add_deliver_hook([&](NodeId n, const Txn& t) {
+    auto tt = decode_tree_txn(t.data);
+    if (tt.is_ok() && tt.value().kind == TxnKind::kSetData) {
+      sets[n].push_back(t.zxid);
+    }
+  });
+
+  constexpr std::uint64_t kCxid = 7;
+  int calls = 0;
+  OpResult answer;
+  TimePoint answered_at = 0;
+  const Zxid before = c.node(leader).last_logged();
+  set_k(sid, kCxid)(*trees[origin], [&](const OpResult& r) {
+    ++calls;
+    answer = r;
+    answered_at = c.sim().now();
+  });
+
+  TimePoint lost_at = 0;
+  Zxid proposed;
+  if (at == LossPoint::kForwardedNotProposed) {
+    // The request is on the wire; the leader dies before it lands.
+    lost_at = c.sim().now();
+    c.crash(leader);
+  } else {
+    // Let the leader propose, then cut it off from both followers: they log
+    // the txn (a durable quorum without the leader) but no ACK reaches it,
+    // so no COMMIT ever leaves. Then it dies.
+    const TimePoint dl = c.sim().now() + seconds(1);
+    while (c.node(leader).last_logged() == before && c.sim().now() < dl) {
+      c.run_for(micros(5));
+    }
+    proposed = c.node(leader).last_logged();
+    ASSERT_GT(proposed, before);
+    c.network().block_pair(leader, origin);
+    c.network().block_pair(leader, other);
+    lost_at = c.sim().now();
+    while ((c.node(origin).last_logged() < proposed ||
+            c.node(other).last_logged() < proposed) &&
+           c.sim().now() < dl) {
+      c.run_for(micros(5));
+    }
+    ASSERT_GE(c.node(origin).last_logged(), proposed);
+    ASSERT_GE(c.node(other).last_logged(), proposed);
+    c.run_for(millis(1));  // past the disk's sync latency
+    ASSERT_LT(c.node(origin).last_committed(), proposed);
+    c.crash(leader);
+  }
+
+  // Answered once, "outcome unknown", as soon as the follower gives up on
+  // its leader — not at the client's op_timeout.
+  while (calls == 0 && c.sim().now() < lost_at + seconds(5)) {
+    c.run_for(millis(1));
+  }
+  ASSERT_EQ(calls, 1);
+  EXPECT_EQ(answer.status.code(), Code::kTimeout) << answer.status.to_string();
+  EXPECT_LE(answered_at - lost_at,
+            zc.follower_timeout + 2 * zc.heartbeat_interval);
+  EXPECT_EQ(trees[origin]->pending_requests(), 0u);
+  EXPECT_EQ(c.node(origin).metrics().counter("zab.requests.abandoned").value(),
+            1u);
+
+  const NodeId l2 = c.wait_for_leader();
+  ASSERT_NE(l2, kNoNode);
+  ASSERT_NE(l2, leader);
+  c.network().heal();
+  c.restart(leader);
+
+  // Replay like a reconnecting client: re-attach (ordered after every
+  // surviving old-epoch txn), then answer from the (session, cxid) record
+  // if it holds the request, else re-execute under the same cxid.
+  const OpResult att = run_op(origin, [sid](ReplicatedTree& t, auto cb) {
+    t.attach_session(sid, std::move(cb));
+  });
+  ASSERT_TRUE(att.status.is_ok()) << att.status.to_string();
+  const SessionInfo* info = trees[origin]->tree().session(sid);
+  ASSERT_NE(info, nullptr);
+  const bool recorded = info->last_cxid == kCxid;
+  if (at == LossPoint::kDurableNotCommitted) {
+    ASSERT_TRUE(recorded);
+    EXPECT_EQ(info->last_code, static_cast<std::uint8_t>(Code::kOk));
+    EXPECT_EQ(info->last_zxid, proposed.packed());
+    ASSERT_EQ(sets[origin].size(), 1u);
+    EXPECT_EQ(sets[origin][0], proposed);
+  } else {
+    ASSERT_FALSE(recorded);
+    EXPECT_TRUE(sets[origin].empty());
+    const OpResult replay = run_op(origin, set_k(sid, kCxid));
+    ASSERT_TRUE(replay.status.is_ok()) << replay.status.to_string();
+  }
+
+  // The version rose by exactly 1 on every replica, the old leader included
+  // once it resynced; the first answer was the only one.
+  const TimePoint dl = c.sim().now() + seconds(10);
+  auto converged = [&] {
+    for (NodeId n = 1; n <= 3; ++n) {
+      auto st = trees[n]->stat("/k");
+      if (!st.is_ok() || st.value().value.version != 1) return false;
+    }
+    return true;
+  };
+  while (!converged() && c.sim().now() < dl) c.run_for(millis(5));
+  c.run_for(millis(200));
+  c.remove_deliver_hook(hook);
+  for (NodeId n = 1; n <= 3; ++n) {
+    auto st = trees[n]->stat("/k");
+    ASSERT_TRUE(st.is_ok()) << "node " << n;
+    EXPECT_EQ(st.value().value.version, 1u) << "node " << n;
+    EXPECT_EQ(trees[n]->pending_requests(), 0u) << "node " << n;
+  }
+  EXPECT_EQ(calls, 1);
+  for (const auto& v : c.checker().check()) ADD_FAILURE() << v;
+  for (const auto& v : c.checker().check_agreement(c.up_nodes())) {
+    ADD_FAILURE() << v;
+  }
+}
+
+TEST(SimSessions, LeaderLossBeforeProposeAnswersForwardedWriteOnce) {
+  run_leader_loss(LossPoint::kForwardedNotProposed);
+}
+
+TEST(SimSessions, LeaderLossBeforeCommitAnswersOnceAndReplayHitsRecord) {
+  run_leader_loss(LossPoint::kDurableNotCommitted);
+}
+
 // --- End-to-end over TCP: failover reconnect, expiry, replay dedup ----------
 
 template <typename Pred>
@@ -461,6 +650,79 @@ TEST(SessionsE2E, ReconnectAcrossLeaderKillKeepsEphemeralsAndWatches) {
   ASSERT_TRUE(ev.is_ok()) << ev.status().to_string();
   EXPECT_EQ(ev.value().event, WatchEvent::kDataChanged);
   EXPECT_EQ(ev.value().path, "/watched");
+
+  f.cluster.unmute_node(l);
+  f.cluster.stop();
+}
+
+TEST(SessionsE2E, WritesThroughFollowerReplayPromptlyAcrossLeaderKill) {
+  E2EFixture f;
+  const NodeId l = f.up();
+  ASSERT_NE(l, kNoNode);
+
+  // Start on a follower: its in-flight write is forwarded to the doomed
+  // leader, so only the follower noticing the loss can answer it. Default
+  // 5 s op_timeout: a caller that waits it out fails the latency bound.
+  const NodeId follower = l == 1 ? 2 : 1;
+  std::vector<Endpoint> ordered{f.eps[follower - 1]};
+  for (NodeId n = 1; n <= 3; ++n) {
+    if (n != follower) ordered.push_back(f.eps[n - 1]);
+  }
+  RemoteClient client(ClientConfig{.servers = ordered});
+  ASSERT_TRUE(client.create("/ctr", {}).is_ok());
+
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> acked{0};
+  std::atomic<std::uint64_t> failed{0};
+  std::atomic<std::int64_t> slowest_us{0};
+  std::thread writer([&] {
+    while (!stop.load()) {
+      const auto t0 = std::chrono::steady_clock::now();
+      const auto r = client.set("/ctr", to_bytes(std::to_string(acked.load())));
+      const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count();
+      if (us > slowest_us.load()) slowest_us.store(us);
+      if (r.is_ok()) {
+        acked.fetch_add(1);
+      } else {
+        failed.fetch_add(1);
+      }
+    }
+  });
+
+  ASSERT_TRUE(eventually([&] { return acked.load() >= 20; }));
+  f.cluster.mute_node(l);
+  f.cluster.stop_client_service(l);
+  const NodeId l2 = f.wait_for_leader_excluding(l);
+  ASSERT_NE(l2, kNoNode);
+  const std::uint64_t at_failover = acked.load();
+  EXPECT_TRUE(eventually([&] { return acked.load() >= at_failover + 20; }));
+  stop.store(true);
+  writer.join();
+
+  EXPECT_EQ(failed.load(), 0u);
+  EXPECT_LT(slowest_us.load(), 2'500'000);
+  EXPECT_GE(client.stats().replays, 1u);
+  EXPECT_EQ(client.stats().sessions_lost, 0u);
+
+  // Every acked set applied exactly once on every survivor, and nothing
+  // stayed pending on them.
+  const auto want = static_cast<std::uint32_t>(acked.load());
+  for (NodeId n = 1; n <= 3; ++n) {
+    if (n == l) continue;
+    std::uint32_t version = 0;
+    std::size_t pending = 0;
+    EXPECT_TRUE(eventually([&] {
+      f.cluster.with_tree(n, [&](ReplicatedTree& t) {
+        auto st = t.stat("/ctr");
+        version = st.is_ok() ? st.value().value.version : 0;
+        pending = t.pending_requests();
+      });
+      return version == want && pending == 0;
+    })) << "node " << n << " version " << version << " want " << want
+        << " pending " << pending;
+  }
 
   f.cluster.unmute_node(l);
   f.cluster.stop();
